@@ -24,7 +24,6 @@ import (
 	"gomp/internal/bench"
 	"gomp/internal/core"
 	"gomp/internal/driver"
-	"gomp/internal/kmp"
 	"gomp/internal/npb"
 	"gomp/internal/trace"
 	"gomp/omp"
@@ -204,40 +203,6 @@ func BenchmarkAblationReductionCASMul(b *testing.B) {
 		}, omp.NumThreads(threads))
 	}
 }
-
-// ---------------------------------------------------------------------
-// Ablation A2 — barrier algorithm: cost of one full-team rendezvous under
-// each algorithm. libomp hard-wires one; this runtime exposes all three.
-
-func benchBarrier(b *testing.B, kind kmp.BarrierKind) {
-	for _, n := range benchThreads() {
-		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			bar := kmp.NewBarrier(kind, n, kmp.WaitPassive)
-			b.ResetTimer()
-			var wg = make(chan struct{}, n)
-			for g := 0; g < n; g++ {
-				go func(tid int) {
-					for i := 0; i < b.N; i++ {
-						bar.Wait(tid)
-					}
-					wg <- struct{}{}
-				}(g)
-			}
-			for g := 0; g < n; g++ {
-				<-wg
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBarrierCentral measures the central counter barrier.
-func BenchmarkAblationBarrierCentral(b *testing.B) { benchBarrier(b, kmp.BarrierCentral) }
-
-// BenchmarkAblationBarrierTree measures the arity-4 tree barrier.
-func BenchmarkAblationBarrierTree(b *testing.B) { benchBarrier(b, kmp.BarrierTree) }
-
-// BenchmarkAblationBarrierDissemination measures the dissemination barrier.
-func BenchmarkAblationBarrierDissemination(b *testing.B) { benchBarrier(b, kmp.BarrierDissemination) }
 
 // ---------------------------------------------------------------------
 // Ablation A3 — schedule kinds over a deliberately imbalanced loop
@@ -451,7 +416,7 @@ func BenchmarkTiledMatmul(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Ablation A5 — front-end throughput: the preprocessor over a pragma-dense
-// source file, and the packed clause encode/decode round trip.
+// source file.
 
 var preprocessInput = []byte(`package p
 
@@ -565,25 +530,6 @@ func kernel%d(a, b []float64, n int) float64 {
 		}
 		filesPerSec(b)
 	})
-}
-
-// BenchmarkClausePack measures the Section III-A2 packed encoding: a full
-// directive into the 32-bit extra_data array and back.
-func BenchmarkClausePack(b *testing.B) {
-	d, err := core.ParseDirective("parallel for private(i,j) firstprivate(c) reduction(+:sx,sy) schedule(guided,64) collapse(2) num_threads(8)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		tree := core.NewTree()
-		idx, err := tree.Encode(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tree.Decode(idx); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkDirectiveParse measures tokeniser + parser alone (the front

@@ -10,7 +10,7 @@
 //
 //   - internal/core — the contribution: pragma tokeniser (keywords stay
 //     identifiers), directive parser (including cancel and cancellation
-//     point), bit-packed 32-bit clause encoding (extra_data emulation),
+//     point), validation against the paper's clause-packing limits,
 //     the multi-pass source-to-source preprocessor over go/ast, and the
 //     loop-transformation engine (transform.go): the OpenMP 5.1 tile and
 //     unroll directives over a loop-nest IR lifted from ast.ForStmt
@@ -18,10 +18,10 @@
 //     worksharing directives stacked above a transformation distribute
 //     the generated loops (see "Loop transformations" below).
 //   - internal/kmp — the libomp analog: hot goroutine teams, ForkCall and
-//     its error/context-aware sibling, three barrier algorithms plus a
-//     cancellation-aware one, static partitioning, the unified worksharing
-//     engine (dynamic-family loops run work-stealing over static-seeded
-//     per-thread ranges by default, with the shared-counter dispatch ring
+//     its error/context-aware sibling, a central sense-reversing barrier
+//     plus a cancellation-aware one, static partitioning, the unified
+//     worksharing engine (dynamic-family loops run work-stealing over
+//     static-seeded per-thread ranges by default, with the shared-counter dispatch ring
 //     kept as the monotonic:/ordered compliance path), the ordered
 //     construct's ticket chain, criticals, locks, single/master,
 //     threadprivate, OpenMP cancellation flags observed at every scheduling
@@ -37,7 +37,6 @@
 //     the prefix dropped), the structured constructs generated code
 //     targets, and the v2 surface: context-aware error-returning region
 //     launch, generic ForEach/ReduceInto, and Cancel/CancellationPoint.
-//     internal/omp remains as a thin forwarding shim for v1 call sites.
 //   - internal/atomicx — atomic cells with the paper's Listing 6 CAS-loop
 //     lowering for multiply/divide/logical reductions.
 //   - internal/npb{,/cg,/ep,/is} — the three benchmark kernels, each as
@@ -116,9 +115,9 @@
 // regions spin on an atomic generation word, then park on a
 // flag-guarded channel; OMP_WAIT_POLICY (and the ICV) selects the spin
 // budget — passive parks quickly and suits oversubscribed hosts, active
-// holds the CPU longer for latency. Cancellation latches, barriers (central
-// and tree), and the one-thread serial path are all allocation-free by the
-// same discipline; omp.TrimTeams hands the cached teams back when a
+// holds the CPU longer for latency. Cancellation latches, barriers, and
+// the one-thread serial path are all allocation-free by the same
+// discipline; omp.TrimTeams hands the cached teams back when a
 // process goes quiet. Both caches are capped and nested regions debit a
 // global thread-limit reservation, so the serving shape cannot
 // oversubscribe. BenchmarkForkOverhead and BenchmarkServingRegions (and

@@ -1,8 +1,8 @@
 // Pragma walkthrough: the paper's workflow end to end, inside one process.
 // An annotated source file is pushed through the preprocessor (tokeniser →
-// directive parser → packed clause encoding → multi-pass rewrite), the
-// generated Go is printed, and the same computation is executed through the
-// runtime to show the two agree.
+// directive parser → multi-pass rewrite), the generated Go is printed, and
+// the same computation is executed through the runtime to show the two
+// agree.
 //
 //	go run ./examples/pragma
 //
@@ -53,7 +53,7 @@ func main() {
 func main() {
 	fmt.Println("=== 1. directive front-end ===")
 	// What the compiler sees for one pragma: tokens (keywords stay
-	// identifiers!), then the parsed directive, then its packed form.
+	// identifiers!), then the parsed directive.
 	text := "parallel for reduction(+:sum) schedule(guided,64) num_threads(4)"
 	toks, err := core.Tokenize(text)
 	if err != nil {
@@ -65,13 +65,6 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("parsed: %s\n", d)
-	tree := core.NewTree()
-	idx, err := tree.Encode(d)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("packed: node %d, %d words of extra_data, schedule word %#08x\n",
-		idx, len(tree.ExtraData), tree.ExtraData[tree.Nodes[idx].ClauseIdx])
 
 	fmt.Println("\n=== 2. preprocessed output ===")
 	out, err := core.Preprocess([]byte(annotated), core.Options{Filename: "annotated.go"})

@@ -114,10 +114,10 @@ func (k DirKind) String() string {
 	return fmt.Sprintf("DirKind(%d)", int(k))
 }
 
-// CancelEnum is the 2-bit construct-kind argument of the cancel and
-// cancellation point directives in the packed clause encoding. This
-// implementation lowers parallel, for and taskgroup; cancel sections is
-// rejected at parse time like the other unlowered clause combinations.
+// CancelEnum is the construct-kind argument of the cancel and cancellation
+// point directives. This implementation lowers parallel, for and taskgroup;
+// cancel sections is rejected at parse time like the other unlowered clause
+// combinations.
 type CancelEnum uint8
 
 const (
@@ -153,8 +153,8 @@ func (c CancelEnum) RuntimeName() string {
 	return ""
 }
 
-// SchedEnum is the 3-bit schedule kind of the paper's packed clause encoding
-// (Section III-A2). Values fit in 3 bits; SchedNone means no schedule clause.
+// SchedEnum is the schedule kind, the 3-bit field of the paper's packed
+// clause encoding (Section III-A2). SchedNone means no schedule clause.
 type SchedEnum uint8
 
 const (
@@ -186,11 +186,10 @@ func (s SchedEnum) String() string {
 	return "none"
 }
 
-// SchedModEnum is the 2-bit monotonic/nonmonotonic schedule modifier of the
-// packed clause encoding, stored in the flags word next to the ordered bit
-// it interacts with (nonmonotonic conflicts with ordered). SchedModNone
-// means no modifier was written, which for dynamic-family kinds defaults to
-// nonmonotonic (work-stealing) execution per OpenMP 5.0.
+// SchedModEnum is the monotonic/nonmonotonic schedule modifier (nonmonotonic
+// conflicts with the ordered clause). SchedModNone means no modifier was
+// written, which for dynamic-family kinds defaults to nonmonotonic
+// (work-stealing) execution per OpenMP 5.0.
 type SchedModEnum uint8
 
 const (
@@ -221,32 +220,9 @@ func (m SchedModEnum) RuntimeName() string {
 	return ""
 }
 
-// TaskIterEnum is the 2-bit selector of the taskloop granularity clause in
-// the packed clause encoding: grainsize and num_tasks are mutually exclusive
-// per the OpenMP spec, so one selector plus one value word covers both, the
-// same trick PackSchedule uses for the schedule kind and chunk.
-type TaskIterEnum uint8
-
-const (
-	TaskIterNone TaskIterEnum = iota
-	TaskIterGrainsize
-	TaskIterNumTasks
-)
-
-// String returns the clause spelling.
-func (ti TaskIterEnum) String() string {
-	switch ti {
-	case TaskIterGrainsize:
-		return "grainsize"
-	case TaskIterNumTasks:
-		return "num_tasks"
-	}
-	return "none"
-}
-
-// DependMode is the 2-bit dependence-type of one depend clause item in the
-// packed clause encoding. The numeric values match the runtime's
-// kmp.DepMode so codegen and the dependence engine agree by construction.
+// DependMode is the dependence-type of one depend clause item. The numeric
+// values match the runtime's kmp.DepMode so codegen and the dependence
+// engine agree by construction.
 type DependMode uint8
 
 const (
@@ -288,12 +264,10 @@ type DependClause struct {
 	Vars []string
 }
 
-// UnrollEnum is the 2-bit selector of the unroll directive's expansion
-// clause in the packed clause encoding: full and partial are mutually
-// exclusive per OpenMP 5.2 §9.5, so one selector plus one value word covers
-// both, the same trick PackTaskIter uses for grainsize/num_tasks.
-// UnrollNone on an unroll directive means neither clause was written — the
-// implementation chooses the expansion heuristically.
+// UnrollEnum selects the unroll directive's expansion clause: full and
+// partial are mutually exclusive per OpenMP 5.2 §9.5. UnrollNone on an
+// unroll directive means neither clause was written — the implementation
+// chooses the expansion heuristically.
 type UnrollEnum uint8
 
 const (
@@ -313,7 +287,7 @@ func (u UnrollEnum) String() string {
 	return ""
 }
 
-// DefaultKind is the 2-bit default clause encoding.
+// DefaultKind is the default clause's argument.
 type DefaultKind uint8
 
 const (

@@ -15,12 +15,15 @@
 //     design Section III-A describes (reserving them would break existing
 //     code that uses `parallel` or `shared` as variable names).
 //
-//  2. Parsing (parse.go) into directive nodes with clause data packed into
-//     an extra-data array of 32-bit integers (encode.go), reproducing the
-//     Zig compiler's extra_data representation bit for bit: list clauses
-//     (private, firstprivate, shared, …) as index slices into the array,
-//     and the scalar clauses bit-packed — 3-bit schedule kind + 29-bit
-//     chunk, 2-bit default, 1-bit nowait, 4-bit collapse (Section III-A2).
+//  2. Parsing (parse.go) into directive nodes whose clauses are checked
+//     against the paper's language limits (validate.go). The Zig compiler
+//     stores clause data in its AST's extra_data array of 32-bit integers
+//     (Section III-A2): list clauses as index slices, and the scalar
+//     clauses bit-packed, a 3-bit schedule kind beside a 29-bit chunk and a
+//     4-bit collapse depth. Go's AST needs no such packing, so gomp keeps
+//     clauses as plain fields and enforces the limits that packing implies
+//     (chunk and tile size below 2^29, collapse at most 15, grainsize and
+//     num_tasks below 2^30) in validate.go.
 //
 //  3. Preprocessing (preprocess.go and friends): a multi-pass source
 //     rewriter (the paper's Listing 5) that replaces parallel regions first,
@@ -52,6 +55,5 @@
 // the work-stealing task runtime (internal/kmp/task.go): a task block is
 // outlined into a deferred closure with firstprivate values captured by
 // copy at creation, and a taskloop carves its canonical for statement into
-// chunk tasks by grainsize/num_tasks — the packed clause word reuses the
-// schedule-chunk trick bit for bit (encode.go word 5).
+// chunk tasks by grainsize/num_tasks.
 package core

@@ -12,7 +12,7 @@ import (
 // paper's Listing 5. Every generator produces plain-text Go that calls the
 // omp runtime; gofmt at the end of Preprocess normalises layout.
 
-// schedConst maps the packed 3-bit schedule enum to the omp constant
+// schedConst maps the schedule enum to the omp constant
 // generated code references.
 func schedConst(s SchedEnum) string {
 	switch s {

@@ -34,6 +34,9 @@ func TestParseDirectiveKinds(t *testing.T) {
 		"taskwait":         DirTaskwait,
 		"taskgroup":        DirTaskgroup,
 		"taskloop":         DirTaskloop,
+		// The largest values the paper's clause packing admits.
+		"for collapse(15)":               DirFor,
+		"taskloop grainsize(1073741823)": DirTaskloop,
 	}
 	for text, want := range cases {
 		if d := mustParse(t, text); d.Kind != want {
@@ -204,6 +207,8 @@ func TestParseErrors(t *testing.T) {
 		"taskloop grainsize(4) num_tasks(2)",         // mutually exclusive
 		"taskloop grainsize(0)",                      // must be positive
 		"taskloop num_tasks(-1)",                     // must be positive
+		"taskloop grainsize(1073741824)",             // exceeds 30-bit packing
+		"taskloop num_tasks(1073741824)",             // exceeds 30-bit packing
 		"taskloop nowait",                            // taskloop has nogroup, not nowait
 		"for untied",                                 // task-only clause on for
 		"parallel final(x)",                          // task-only clause on parallel

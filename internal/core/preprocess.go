@@ -401,17 +401,11 @@ func hasEscapingReturn(body ast.Node) bool {
 	return found
 }
 
-// legacyOmpImport is the v1 shim path previously annotated files may still
-// import; it binds the same API, so re-preprocessing them must not add a
-// second, clashing `omp` import.
-const legacyOmpImport = "gomp/internal/omp"
-
-// ensureImport guarantees the file imports the runtime package under the
-// name `omp`: the configured OmpImport path or the legacy shim path, either
-// of which satisfies generated code. An unrelated package that merely
-// happens to be named omp does not count — generated omp.* calls must never
-// silently bind to foreign code. Otherwise a second import declaration is
-// appended after the package clause; gofmt folds it in.
+// ensureImport guarantees the file imports the configured OmpImport path
+// under the name `omp`. An unrelated package that merely happens to be
+// named omp does not count — generated omp.* calls must never silently bind
+// to foreign code. Otherwise a second import declaration is appended after
+// the package clause; gofmt folds it in.
 //
 // A file whose rewritten form never references the omp qualifier — possible
 // since loop transformations lower to plain loops, not runtime calls — is
@@ -426,7 +420,7 @@ func ensureImport(src []byte, opts Options) ([]byte, error) {
 	}
 	for _, imp := range file.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
-		if path != opts.OmpImport && path != legacyOmpImport {
+		if path != opts.OmpImport {
 			continue
 		}
 		if imp.Name == nil || imp.Name.Name == "omp" {

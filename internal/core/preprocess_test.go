@@ -571,27 +571,6 @@ func f() {}`, "no package-level var"},
 	}
 }
 
-func TestPreprocessKeepsExistingOmpImport(t *testing.T) {
-	out := pp(t, `package p
-
-import omp "gomp/internal/omp"
-
-func f() {
-	omp.SetNumThreads(2)
-	//omp parallel
-	{
-		_ = 1
-	}
-}
-`)
-	if got := strings.Count(out, `"gomp/internal/omp"`); got != 1 {
-		t.Fatalf("legacy shim import appears %d times, want 1:\n%s", got, out)
-	}
-	if strings.Contains(out, `"gomp/omp"`) {
-		t.Fatalf("v2 import added despite existing omp binding:\n%s", out)
-	}
-}
-
 func TestPreprocessIdempotentOnOutput(t *testing.T) {
 	src := `package p
 

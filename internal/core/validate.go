@@ -87,6 +87,24 @@ var allowedClauses = map[DirKind]clauseSet{
 	DirUnroll: allowUnrollSpec,
 }
 
+// Language limits from the paper's extra_data clause packing (Section
+// III-A2). gomp does not pack clauses, but it keeps the limits so a pragma
+// means the same here as in the paper's Zig implementation.
+const (
+	// MaxChunk bounds the schedule chunk: the paper packs a 3-bit schedule
+	// kind beside a 29-bit chunk, a "maximum chunk of 536870912
+	// iterations". 0 stands for "no chunk", so legal chunks are below it.
+	MaxChunk = 1 << 29
+	// MaxCollapse is the largest collapse depth, 4 bits, "as it is unlikely
+	// that a user would wish to collapse more than 16 loops".
+	MaxCollapse = 1<<4 - 1
+	// MaxTaskIter bounds grainsize/num_tasks: a 2-bit selector beside a
+	// 30-bit value, the schedule-chunk trick applied to taskloop.
+	MaxTaskIter = 1 << 30
+	// MaxTileSize bounds each tile size; it mirrors the chunk limit.
+	MaxTileSize = 1 << 29
+)
+
 // Loop-transformation limits.
 const (
 	// MaxTileDepth caps the sizes-clause arity: tiling k loops generates a

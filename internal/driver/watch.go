@@ -54,16 +54,21 @@ func sigsEqual(a, b map[string]fileSig) bool {
 // source signature changes, until ctx is done. Every pass's outcome —
 // including pass-level errors, which do not stop the loop — is handed
 // to fn. The return value is ctx.Err() once the watch ends.
+//
+// The baseline signature is taken before the first pass, so an edit made
+// while that pass or its callback runs triggers another pass. A
+// signature is (mtime, size): an edit that keeps a file's size and lands
+// within the same mtime tick as the previous stat is still missed.
 func (d *Driver) Watch(ctx context.Context, interval time.Duration, fn func(*Report, error)) error {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
-	rep, err := d.Run()
-	fn(rep, err)
 	last, sigErr := signature(d.cfg)
 	if sigErr != nil {
 		last = nil
 	}
+	rep, err := d.Run()
+	fn(rep, err)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {

@@ -2,6 +2,8 @@ package driver
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -58,6 +60,51 @@ func TestWatchRerunsOnChange(t *testing.T) {
 	<-done
 }
 
+// An edit that lands while the first pass is still running must trigger
+// a second pass: the baseline signature is the one the first pass read.
+func TestWatchSeesEditDuringFirstPass(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{"a.go": pragmaSrc})
+	d, err := New(Config{Module: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// A different length, so the size half of the signature changes even
+	// when the rewrite falls within the same mtime tick.
+	edited := strings.Replace(pragmaSrc, "Sum", "SumEdited", 1)
+	passes := make(chan *Report, 16)
+	done := make(chan struct{})
+	first := true
+	go func() {
+		defer close(done)
+		d.Watch(ctx, 10*time.Millisecond, func(rep *Report, err error) {
+			if first {
+				first = false
+				if werr := os.WriteFile(filepath.Join(root, "a.go"), []byte(edited), 0o644); werr != nil {
+					t.Error(werr)
+				}
+			}
+			if err == nil {
+				passes <- rep
+			}
+		})
+	}()
+	for i, what := range []string{"initial pass", "pass after edit during the first pass"} {
+		select {
+		case rep := <-passes:
+			if rep.Transformed != 1 {
+				t.Errorf("%s: %s", what, rep.Summary())
+			}
+		case <-ctx.Done():
+			t.Errorf("timed out waiting for %s (pass %d)", what, i+1)
+		}
+	}
+	cancel()
+	<-done
+}
+
 // Stable sources produce no further passes: the cache decides what to
 // transform, the signature decides whether to run at all.
 func TestWatchIdleRunsNothing(t *testing.T) {
@@ -69,14 +116,21 @@ func TestWatchIdleRunsNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	passes := make(chan *Report, 16)
-	go d.Watch(ctx, time.Millisecond, func(rep *Report, err error) {
-		if err == nil {
-			passes <- rep
-		}
-	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Watch(ctx, time.Millisecond, func(rep *Report, err error) {
+			if err == nil {
+				passes <- rep
+			}
+		})
+	}()
 	<-passes
 	time.Sleep(50 * time.Millisecond)
 	cancel()
+	// Wait for the loop to exit, so it cannot still be polling the
+	// module while the test's temporary directory is removed.
+	<-done
 	select {
 	case rep := <-passes:
 		t.Fatalf("idle watch ran a pass: %s", rep.Summary())

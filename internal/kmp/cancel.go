@@ -166,7 +166,7 @@ func (n *taskNode) discarded() bool {
 }
 
 // cancelBarrier is the rendezvous used by cancellable teams in place of the
-// configured barrier algorithm: a sense-reversing central counter whose
+// team's centralBarrier: a sense-reversing central counter whose
 // waiters watch the generation word *and* the team's cancellation flag, so
 // activation of region cancellation releases every parked thread
 // immediately — barriers are cancellation points, and a cancelled team must

@@ -1,6 +1,7 @@
 package kmp
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,7 +178,7 @@ func TestDispatchRuntimeResolvesICV(t *testing.T) {
 func TestGuidedChunkShape(t *testing.T) {
 	const trip, nth, minChunk = 10000, 4, 8
 	var mu sync.Mutex
-	var sizes []int64
+	var chunks [][2]int64
 	ForkCall(Ident{}, nth, func(th *Thread) {
 		th.DispatchInit(Ident{}, Sched{Kind: SchedGuidedChunked, Chunk: minChunk, Mod: SchedModMonotonic}, trip)
 		for {
@@ -186,18 +187,22 @@ func TestGuidedChunkShape(t *testing.T) {
 				break
 			}
 			mu.Lock()
-			sizes = append(sizes, hi-lo)
+			chunks = append(chunks, [2]int64{lo, hi})
 			mu.Unlock()
 		}
 		th.Barrier()
 	})
-	if len(sizes) == 0 {
+	if len(chunks) == 0 {
 		t.Fatal("no chunks issued")
 	}
+	// Threads append in the order they reach the lock, not the order the
+	// counter issued the chunks, so sort by start to recover issue order.
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
 	var total int64
-	for _, s := range sizes {
+	for _, c := range chunks {
+		s := c[1] - c[0]
 		total += s
-		if s < minChunk && total != trip {
+		if s < minChunk && c[1] != trip {
 			// Only the final remnant chunk may be below minChunk.
 			t.Fatalf("guided issued chunk %d below minimum %d before the tail", s, minChunk)
 		}
@@ -206,8 +211,8 @@ func TestGuidedChunkShape(t *testing.T) {
 		t.Fatalf("guided chunks sum to %d, want %d", total, trip)
 	}
 	// First chunk should be near trip/(2·nth), far larger than minChunk.
-	if sizes[0] < trip/(4*nth) {
-		t.Fatalf("first guided chunk %d suspiciously small (want ≈ %d)", sizes[0], trip/(2*nth))
+	if first := chunks[0][1] - chunks[0][0]; first < trip/(4*nth) {
+		t.Fatalf("first guided chunk %d suspiciously small (want ≈ %d)", first, trip/(2*nth))
 	}
 }
 

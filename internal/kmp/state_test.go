@@ -13,19 +13,20 @@ import (
 // reporting the running state.
 func TestReadStatusLiveRegion(t *testing.T) {
 	loc := Ident{File: "state_test.go", Line: 1, Region: "parallel live"}
-	inside := make(chan struct{})
+	var inside sync.WaitGroup
+	inside.Add(4)
 	release := make(chan struct{})
-	var once sync.Once
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		ForkCall(loc, 4, func(th *Thread) {
-			once.Do(func() { close(inside) })
+			inside.Done()
 			<-release
 		})
 	}()
-	<-inside
-	time.Sleep(time.Millisecond) // let the remaining members arrive
+	// Every member marks itself running before its body starts, so once
+	// all four are inside the body all four read as running.
+	inside.Wait()
 
 	st := ReadStatus()
 	var tm *TeamStatus

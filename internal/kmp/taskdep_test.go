@@ -318,13 +318,16 @@ func TestTaskPrioQOrdering(t *testing.T) {
 }
 
 // Prioritised ready tasks are executed before unprioritised ones when a
-// single thread drains its backlog (deterministic: team of 2, the spawner
-// holds the worker at a barrier until the spawn completes… simplest
-// deterministic check is a serial drain on one worker).
+// single thread drains its backlog. The team has 2 threads, but thread 1
+// waits outside any task scheduling point until thread 0 has drained every
+// task, so the drain order is deterministic.
 func TestPriorityDequeueOrder(t *testing.T) {
 	var order []int32
+	drained := make(chan struct{})
 	ForkCall(Ident{}, 2, func(th *Thread) {
-		if th.Single() {
+		if th.Tid != 0 {
+			<-drained
+		} else {
 			// Withhold all tasks behind one gate dependence so none
 			// starts until every spawn (and its priority) is registered.
 			var gate int
@@ -333,13 +336,13 @@ func TestPriorityDequeueOrder(t *testing.T) {
 			for _, p := range []int32{0, 2, 0, 7, 1} {
 				p := p
 				th.SpawnTask(Ident{}, func(*Thread) {
-					// Executed under the implicit barrier drain; record
-					// arrival order. Unsynchronised append is safe only
-					// because this test asserts on a single-threaded
-					// drain — use a critical section to stay race-free.
+					// Executed under thread 0's taskwait drain; record
+					// arrival order.
 					Critical("prio_test", func() { order = append(order, p) })
 				}, TaskOpts{Priority: p, Deps: []DepSpec{{Name: "gate", Addr: &gate, Mode: DepIn}}})
 			}
+			th.Taskwait()
+			close(drained)
 		}
 		th.Barrier()
 	})

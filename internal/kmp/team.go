@@ -55,8 +55,7 @@ type Team struct {
 	n       int       // active size for the current region
 	threads []*Thread // len == capacity grown so far; [0] is the master slot
 	workers []*worker // workers[i] drives threads[i+1]
-	barrier Barrier
-	bKind   BarrierKind
+	barrier *centralBarrier
 	// policy is wait-policy-var as of the current region, read atomically
 	// because idle workers consult it while the master re-arms the team.
 	policy atomic.Int32
@@ -142,9 +141,6 @@ type Team struct {
 
 // NumThreads returns the team's active size.
 func (tm *Team) NumThreads() int { return tm.n }
-
-// BarrierKind returns the barrier algorithm this team synchronises with.
-func (tm *Team) BarrierKind() BarrierKind { return tm.bKind }
 
 func (tm *Team) waitPolicy() WaitPolicy { return WaitPolicy(tm.policy.Load()) }
 
@@ -285,7 +281,7 @@ func (tm *Team) dispose() {
 // initial thread's 0) so concurrent teams' masters stay distinguishable
 // on per-thread timeline tracks.
 func newTeam(v ICV) *Team {
-	tm := &Team{bKind: v.Barrier}
+	tm := &Team{}
 	tm.policy.Store(int32(v.WaitPolicy))
 	master := &Thread{Gtid: nextGtid(), Tid: 0, team: tm}
 	tm.threads = []*Thread{master}
@@ -317,9 +313,8 @@ func (tm *Team) resize(n int, v ICV) {
 		tm.thrA.Store(&snap)
 	}
 	tm.sizeA.Store(int32(n))
-	if tm.barrier == nil || tm.barrier.Size() != n || tm.bKind != v.Barrier {
-		tm.bKind = v.Barrier
-		tm.barrier = NewBarrier(tm.bKind, n, v.WaitPolicy)
+	if tm.barrier == nil || tm.barrier.n != n {
+		tm.barrier = newCentralBarrier(n, v.WaitPolicy)
 	}
 	tm.n = n
 }
@@ -578,7 +573,7 @@ var serialTeams = sync.Pool{New: func() any { return newSerialTeam() }}
 
 // serialBarrier is shared by all serial teams: a one-thread barrier is
 // stateless (Wait returns immediately), so one instance serves every team.
-var serialBarrier = newCentralBarrier(1)
+var serialBarrier = newCentralBarrier(1, WaitPassive)
 
 func newSerialTeam() *Team {
 	tm := &Team{n: 1, serial: true}
@@ -652,7 +647,7 @@ func (t *Thread) Barrier() {
 	if t.team.cancellable {
 		t.team.cbar.wait(t.team)
 	} else {
-		t.team.barrier.Wait(t.Tid)
+		t.team.barrier.Wait()
 	}
 	t.setWait(StateRunning)
 	if rec {

@@ -136,7 +136,9 @@ func TestTraceTaskAndDependenceEvents(t *testing.T) {
 
 // A ring too small for the region's event volume must drop (and count)
 // the overflow, never corrupt: every event that does come out is
-// well-formed and per-ring timestamps stay monotonic.
+// well-formed and per-ring end times stay monotonic. A span event is
+// recorded at its end but stamped with its start, so its start may
+// precede instant events the same thread recorded inside the span.
 func TestRingOverflowDropsAreCountedNotCorrupted(t *testing.T) {
 	events, col := collect(t, 4, func() {
 		ForkCall(Ident{Region: "p"}, 2, func(th *Thread) {
@@ -155,10 +157,11 @@ func TestRingOverflowDropsAreCountedNotCorrupted(t *testing.T) {
 		if ev.Kind < TraceForkBegin || ev.Kind > TraceTaskDepRelease {
 			t.Fatalf("corrupt event kind %d", ev.Kind)
 		}
-		if ev.When < last[ev.Gtid] {
-			t.Fatalf("gtid %d timestamps went backwards: %d after %d", ev.Gtid, ev.When, last[ev.Gtid])
+		end := ev.When + ev.Dur
+		if end < last[ev.Gtid] {
+			t.Fatalf("gtid %d end times went backwards: %d after %d", ev.Gtid, end, last[ev.Gtid])
 		}
-		last[ev.Gtid] = ev.When
+		last[ev.Gtid] = end
 	}
 }
 

@@ -166,8 +166,12 @@ func (p *Profiler) Stop() {
 // every region join.
 func (p *Profiler) Flush() int {
 	n := p.col.Flush()
+	// Read drops before taking p.mu: the collector calls consume, which
+	// takes p.mu, while holding its own lock, so holding p.mu across
+	// Drops would invert that lock order and can deadlock.
+	d := p.col.Drops()
 	p.mu.Lock()
-	if d := p.col.Drops(); d > p.lastDrops {
+	if d > p.lastDrops {
 		p.met.RingDrops.Add(int64(d - p.lastDrops))
 		p.lastDrops = d
 	}

@@ -179,11 +179,10 @@
 //
 // # Migrating from the v1 internal API
 //
-// The old import path gomp/internal/omp remains a forwarding shim, so v1
-// code compiles unchanged. New code should import gomp/omp and prefer the
-// v2 constructs where they fit:
+// New code should import gomp/omp and prefer the v2 constructs where they
+// fit:
 //
-//	v1 construct (gomp/internal/omp)        v2 construct (gomp/omp)
+//	v1 construct (internal API)             v2 construct (gomp/omp)
 //	--------------------------------        -----------------------------------------
 //	omp.Parallel(body)                      omp.ParallelErr(body) error
 //	omp.ParallelFor(n, body)                omp.ParallelForErr(n, body) error
