@@ -115,7 +115,13 @@
 // regions spin on an atomic generation word, then park on a
 // flag-guarded channel; OMP_WAIT_POLICY (and the ICV) selects the spin
 // budget — passive parks quickly and suits oversubscribed hosts, active
-// holds the CPU longer for latency. Cancellation latches, barriers, and
+// holds the CPU longer for latency. Barrier waiters follow the same
+// spin-then-park shape with the same policy split: after the spin they
+// park on the barrier's condition variable, and the last arrival wakes
+// them as it releases the barrier (a region cancel wakes them too)
+// instead of leaving them to a timer. Only task scheduling points that
+// find no work (taskwait, the task drain ahead of a barrier, ordered)
+// still back off on a short sleep. Cancellation latches, barriers, and
 // the one-thread serial path are all allocation-free by the same
 // discipline; omp.TrimTeams hands the cached teams back when a
 // process goes quiet. Both caches are capped and nested regions debit a

@@ -105,6 +105,97 @@ func TestWatchSeesEditDuringFirstPass(t *testing.T) {
 	<-done
 }
 
+// A same-size edit whose mtime matches the previous signature's — a
+// rewrite within one mtime tick, simulated by restoring the mtime — must
+// still trigger a pass: the file is racily clean, so its content decides.
+func TestWatchSeesSameSizeEditInOneTick(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{"a.go": pragmaSrc})
+	path := filepath.Join(root, "a.go")
+	d, err := New(Config{Module: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	edited := strings.Replace(pragmaSrc, "Sum", "Tot", 1)
+	if len(edited) != len(pragmaSrc) {
+		t.Fatal("the edit must keep the file size")
+	}
+	passes := make(chan *Report, 16)
+	done := make(chan struct{})
+	first := true
+	go func() {
+		defer close(done)
+		d.Watch(ctx, 10*time.Millisecond, func(rep *Report, err error) {
+			if first {
+				first = false
+				info, serr := os.Stat(path)
+				if serr != nil {
+					t.Error(serr)
+				} else if werr := os.WriteFile(path, []byte(edited), 0o644); werr != nil {
+					t.Error(werr)
+				} else if cerr := os.Chtimes(path, info.ModTime(), info.ModTime()); cerr != nil {
+					t.Error(cerr)
+				}
+			}
+			if err == nil {
+				passes <- rep
+			}
+		})
+	}()
+	for i, what := range []string{"initial pass", "pass after the same-size edit"} {
+		select {
+		case rep := <-passes:
+			if rep.Transformed != 1 {
+				t.Errorf("%s: %s", what, rep.Summary())
+			}
+		case <-ctx.Done():
+			t.Errorf("timed out waiting for %s (pass %d)", what, i+1)
+		}
+	}
+	cancel()
+	<-done
+}
+
+// Only racily clean files are hashed: a tree whose files have been quiet
+// for longer than racyWindow costs stats alone.
+func TestSignatureHashesOnlyRacyFiles(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{"old.go": pragmaSrc, "new.go": pragmaSrc})
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(filepath.Join(root, "old.go"), old, old); err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{Module: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := signature(d.cfg, treeSig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.files["old.go"].hashed || !first.files["new.go"].hashed {
+		t.Fatalf("hashed old.go=%v new.go=%v, want false and true",
+			first.files["old.go"].hashed, first.files["new.go"].hashed)
+	}
+	// Once the previous stat time is past the window, new.go is quiet too.
+	prev := first
+	prev.at += int64(2 * racyWindow)
+	next, err := signature(d.cfg, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rel, fs := range next.files {
+		if fs.hashed {
+			t.Errorf("%s hashed in a quiet tree", rel)
+		}
+	}
+	if !sigsEqual(first, next) {
+		t.Error("an unchanged tree's signatures differ")
+	}
+}
+
 // Stable sources produce no further passes: the cache decides what to
 // transform, the signature decides whether to run at all.
 func TestWatchIdleRunsNothing(t *testing.T) {

@@ -44,13 +44,24 @@
 // "whether it participates"; non-participating workers (the region shrank)
 // go straight back to waiting without touching any region state.
 //
+// Team barriers wait the same way (barrier.go): a bounded spin on the
+// barrier's generation word (128 probes under passive, 8192 under active,
+// yielding every 8), then a park on the barrier's condition variable. The
+// last arrival bumps the generation and, only if some waiter has parked,
+// broadcasts — so a parked waiter resumes on the release itself, not on a
+// timer tick, and a release nobody sleeps through costs one atomic load.
+// The waiter counts itself as a sleeper and re-checks the generation under
+// the barrier's mutex, Dekker-ordered against the releaser's bump-then-
+// load, so no wake-up is lost. Region cancellation (cancel.go) raises its
+// flag and wakes the cancellable barrier's sleepers the same way.
+//
 // A warm fork therefore performs: one goroutine-id read (an assembly g
 // pointer read on amd64/arm64, validated at init against the portable
 // stack parse — goid_fast.go), one affinity-map hit, field stores for the
 // region closure, one atomic generation publish, and wake sends to however
 // many workers actually parked. Nothing allocates: the cancellation latch
 // is a generation counter (cancel.go), barriers are sense-reversing atomic
-// words (barrier.go), the serial one-thread path runs from a sync.Pool,
+// words with their wake primitive embedded (barrier.go), the serial one-thread path runs from a sync.Pool,
 // and the error box is embedded in the team. TestWarmRegionZeroAlloc and
 // BenchmarkForkJoin assert the invariant.
 //

@@ -30,6 +30,24 @@ func TestWarmRegionZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	// The parked path: thread 1 arrives only once a teammate has parked in
+	// the barrier, so every region pays a park and a wake.
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("threads=%d/parked", n), func(t *testing.T) {
+			body := func(th *Thread) {
+				if th.Tid == 1 {
+					awaitParked(&th.team.barrier.rendezvous)
+				}
+				th.Barrier()
+			}
+			ForkCall(Ident{Region: "warmup"}, n, body)
+			if got := testing.AllocsPerRun(100, func() {
+				ForkCall(Ident{Region: "warm"}, n, body)
+			}); got != 0 {
+				t.Fatalf("warm %d-thread region with a parked waiter: %.1f allocs/region, want 0", n, got)
+			}
+		})
+	}
 }
 
 // The omp-facing wrappers must not reintroduce allocations on the

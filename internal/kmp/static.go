@@ -101,22 +101,36 @@ func ForStatic(t *Thread, trip, chunk int64, body func(begin, end int64)) {
 		// Static shares need no shared dispatch state, but their
 		// per-thread participation span is what lets the profiler's
 		// imbalance analysis see a skewed static partition; attributed to
-		// the enclosing region (static loops carry no own Ident).
+		// the enclosing region (static loops carry no own Ident). With a
+		// collector installed the span also carries the thread's on-CPU
+		// time (Arg0), so a thread the OS descheduled mid-share — routine
+		// when the team outnumbers the free processors — is not mistaken
+		// for the one given the most work.
 		var col *Collector
 		var rec bool
-		var start int64
+		var start, cpu0 int64
+		var tid0 uintptr
 		if nth > 1 {
 			if col, rec = traceSinks(); rec {
 				start = TraceNow()
+				if col != nil {
+					tid0, cpu0 = threadCPU()
+				}
 			}
 		}
 		defer func() {
 			t.curWsSeq = 0
 			if rec {
-				t.record(col, TraceEvent{
-					Kind: TraceLoopFini, Loc: t.team.loc,
-					When: start, Dur: TraceNow() - start,
-				})
+				ev := TraceEvent{Kind: TraceLoopFini, Loc: t.team.loc, When: start, Dur: TraceNow() - start}
+				if cpu0 > 0 {
+					// Only meaningful if the goroutine stayed on one OS
+					// thread; the clamp guards against another goroutine's
+					// time on the same thread.
+					if tid, cpu := threadCPU(); tid == tid0 && cpu > cpu0 {
+						ev.Arg0 = min(cpu-cpu0, ev.Dur)
+					}
+				}
+				t.record(col, ev)
 			}
 		}()
 		cancellable = t.team.cancellable

@@ -334,7 +334,7 @@ func (t *Thread) runOneTask() bool {
 // taskIdle is the found-no-work backoff for task scheduling points: yield
 // for a while (another thread is probably mid-task and about to spawn or
 // finish), then sleep briefly so oversubscribed teams cannot starve the
-// thread actually doing the work — the same policy as spinThenYield.
+// thread actually doing the work.
 type taskIdle int
 
 func (i *taskIdle) wait() {

@@ -97,9 +97,10 @@ type Team struct {
 	// Cancellation state (cancel.go). cancellable is decided at fork: the
 	// cancel-var ICV is set, or the region was launched through the
 	// error/context entry point. cbar is the cancellation-aware barrier
-	// cancellable teams synchronise with; it is allocation-free and re-armed
-	// by reset. cancelledLoop holds the worksharing sequence number of a
-	// loop instance cancelled by `cancel for` (0 = none).
+	// cancellable teams synchronise with; it is allocation-free, re-armed by
+	// reset, and its cond.L is set by newTeam (a serial team never waits on
+	// it). cancelledLoop holds the worksharing sequence number of a loop
+	// instance cancelled by `cancel for` (0 = none).
 	cancellable   bool
 	cancelRegion  atomic.Bool
 	cancelledLoop atomic.Uint64
@@ -282,6 +283,7 @@ func (tm *Team) dispose() {
 // on per-thread timeline tracks.
 func newTeam(v ICV) *Team {
 	tm := &Team{}
+	tm.cbar.cond.L = &tm.cbar.mu
 	tm.policy.Store(int32(v.WaitPolicy))
 	master := &Thread{Gtid: nextGtid(), Tid: 0, team: tm}
 	tm.threads = []*Thread{master}

@@ -55,7 +55,10 @@ const (
 	TraceLoopInit
 	// TraceLoopFini fires when a thread finishes a dynamic loop. When is
 	// the thread's own loop entry and Dur its participation time; Loc is
-	// the loop's location (matching its TraceLoopInit).
+	// the loop's location (matching its TraceLoopInit). Static loops emit
+	// it too, located at their region; for them Arg0 is the thread's
+	// on-CPU time over the span when a collector is installed and the
+	// OS thread's CPU clock could measure it (0 otherwise).
 	TraceLoopFini
 	// TraceLoopSteal fires when a dry thread splits off half of a
 	// teammate's iteration range (nonmonotonic stealing dispatch).

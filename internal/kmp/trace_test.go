@@ -87,6 +87,47 @@ func TestTraceEventSpansAndPayloads(t *testing.T) {
 	}
 }
 
+// Static-loop shares carry their on-CPU time when a collector is
+// installed: positive wherever the thread CPU clock is readable, and never
+// more than the wall-clock span.
+func TestStaticLoopFiniCarriesCPUTime(t *testing.T) {
+	if _, ns := threadCPU(); ns == 0 {
+		t.Skip("no per-thread CPU clock on this platform")
+	}
+	var sink atomic.Int64
+	events, _ := collect(t, 0, func() {
+		ForkCall(Ident{Region: "parallel"}, 2, func(th *Thread) {
+			ForStatic(th, 1<<16, 0, func(lo, hi int64) {
+				var s int64
+				for i := lo; i < hi; i++ {
+					s += i * i % 7
+				}
+				sink.Add(s)
+			})
+		})
+	})
+	fini, measured := 0, 0
+	for _, ev := range events {
+		if ev.Kind != TraceLoopFini {
+			continue
+		}
+		fini++
+		// 0 is allowed: the goroutine may have moved OS threads.
+		if ev.Arg0 < 0 || ev.Arg0 > ev.Dur {
+			t.Errorf("static loop-fini CPU time %d outside [0, span %d]", ev.Arg0, ev.Dur)
+		}
+		if ev.Arg0 > 0 {
+			measured++
+		}
+	}
+	if fini != 2 {
+		t.Fatalf("static loop-fini events = %d, want 2", fini)
+	}
+	if measured == 0 {
+		t.Error("no static loop-fini event carried CPU time")
+	}
+}
+
 // Task events: spawn/run pairs balance, runs carry the spawning
 // construct's location and a span, and dependence chains emit
 // stall/release events.

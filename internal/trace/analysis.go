@@ -11,7 +11,8 @@ import (
 // region is wasting cores right now and why" layer of /debug/gomp.
 //
 // For every source region the profiler splits busy time (loop
-// participation + task bodies) and explicit-barrier wait by worker
+// participation + task bodies; on-CPU time for static-loop shares where
+// it can be measured) and explicit-barrier wait by worker
 // (regionStats.perWorker). From that split three figures follow:
 //
 //   - imbalance = (max − mean) / mean of per-worker busy time: 0 for a

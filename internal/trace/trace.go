@@ -50,7 +50,11 @@ type regionStats struct {
 	// perWorker splits this region's activity by emitting thread (gtid):
 	// the raw material of the imbalance/blame analysis (analysis.go).
 	// Busy time is loop participation plus task bodies — the span kinds
-	// each thread reports for its own share of the region's work.
+	// each thread reports for its own share of the region's work. A
+	// static-loop share counts its on-CPU time where the runtime could
+	// measure it, not its wall-clock span: when the team outnumbers the
+	// free processors, the span of whichever thread the OS descheduled
+	// would otherwise make a balanced loop look skewed.
 	perWorker map[int]*workerLoad
 }
 
@@ -227,7 +231,11 @@ func (p *Profiler) consume(batch []kmp.TraceEvent) {
 			p.met.LoopInits.Add(1)
 		case kmp.TraceLoopFini:
 			st.loopTime += time.Duration(ev.Dur)
-			st.worker(ev.Gtid).busy += time.Duration(ev.Dur)
+			busy := ev.Dur
+			if ev.Arg0 > 0 {
+				busy = ev.Arg0 // a static share's on-CPU time
+			}
+			st.worker(ev.Gtid).busy += time.Duration(busy)
 			p.met.LoopNs.Add(ev.Dur)
 		case kmp.TraceLoopSteal:
 			st.steals++

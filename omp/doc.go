@@ -168,9 +168,12 @@
 // running private regions, the serving shape.
 //
 // Two knobs matter for servers. OMP_WAIT_POLICY chooses how long a
-// worker spins before parking between regions — passive (default) parks
+// waiting thread spins before parking — a worker between regions, or a
+// thread waiting at a barrier for its teammates: passive (default) parks
 // quickly and coexists with oversubscription; active trades CPU for
-// latency. TrimTeams releases every idle cached team (workers exit,
+// latency. Either way a parked thread is woken by the event it waits for
+// (the next fork, the barrier's last arrival, a cancel), not by a timer.
+// TrimTeams releases every idle cached team (workers exit,
 // structures become garbage) for processes that have gone quiet; the
 // next Parallel simply rebuilds from cold. Cancellable regions
 // (SetCancellation(true)) and context-bound regions (WithContext) stay on
